@@ -355,16 +355,18 @@ inline std::string git_rev() {
 
 }  // namespace detail
 
-/// The head every cab-bench-v1 record shares — schema, bench id, scale,
-/// git rev, timestamp, topology and the configs JsonRecorder collected —
-/// left open after the configs array so the caller appends its
-/// `,"runtime":{...}` object and closes the record with `}`.
-inline std::string record_head(const std::string& bench_id,
-                               const hw::Topology& topo) {
-  std::string j = "{\"schema\":\"cab-bench-v1\"";
+/// The envelope every bench record opens with, whatever its schema —
+/// schema name, bench id, git rev, timestamp and topology — left open
+/// after the topology object so the schema appends its own fields
+/// (cab-bench-v1: record_head; cab-svc-v1: bench_service.cpp) and closes
+/// the record.
+inline std::string record_envelope(const std::string& schema,
+                                   const std::string& bench_id,
+                                   const hw::Topology& topo) {
+  std::string j = "{\"schema\":";
+  detail::append_escaped(j, schema);
   j += ",\"bench\":";
   detail::append_escaped(j, bench_id);
-  j += ",\"scale\":" + util::format_fixed(bench_scale(), 2);
   j += ",\"git_rev\":";
   detail::append_escaped(j, detail::git_rev());
   j += ",\"generated_unix\":" +
@@ -374,7 +376,19 @@ inline std::string record_head(const std::string& bench_id,
   j += ",\"shared_cache_bytes\":" + std::to_string(topo.shared_cache_bytes());
   j += ",\"describe\":";
   detail::append_escaped(j, topo.describe());
-  j += "},\"configs\":[";
+  j += "}";
+  return j;
+}
+
+/// The head every cab-bench-v1 record shares — the envelope, the scale and
+/// the configs JsonRecorder collected — left open after the configs array
+/// so the caller appends its `,"runtime":{...}` object and closes the
+/// record with `}`.
+inline std::string record_head(const std::string& bench_id,
+                               const hw::Topology& topo) {
+  std::string j = record_envelope("cab-bench-v1", bench_id, topo);
+  j += ",\"scale\":" + util::format_fixed(bench_scale(), 2);
+  j += ",\"configs\":[";
   const auto& entries = JsonRecorder::instance().entries();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i) j += ',';

@@ -312,24 +312,9 @@ void append_counters(std::string& out, const cab::svc::ServiceCounters& c) {
 std::string to_json(const Args& a, const std::vector<ConfigResult>& results) {
   const cab::hw::Topology topo =
       cab::hw::Topology::synthetic(a.sockets, a.cores);
-  std::string out = "{\n  \"schema\": \"cab-svc-v1\",\n";
-  out += "  \"bench\": \"service\",\n";
-  out += "  \"git_rev\": ";
-  append_escaped(out, cab::bench::detail::git_rev());
-  out += ",\n";
+  std::string out =
+      cab::bench::record_envelope("cab-svc-v1", "service", topo) + ",\n";
   char buf[512];
-  std::snprintf(buf, sizeof(buf), "  \"generated_unix\": %lld,\n",
-                static_cast<long long>(std::time(nullptr)));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "  \"topology\": {\"sockets\": %d, \"cores_per_socket\": %d, "
-      "\"shared_cache_bytes\": %llu, \"describe\": ",
-      topo.sockets(), topo.cores_per_socket(),
-      static_cast<unsigned long long>(topo.shared_cache_bytes()));
-  out += buf;
-  append_escaped(out, topo.describe());
-  out += "},\n";
   std::snprintf(
       buf, sizeof(buf),
       "  \"service\": {\"queue_capacity\": %llu, \"backpressure\": \"%s\", "

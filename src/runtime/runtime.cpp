@@ -138,8 +138,7 @@ Runtime::~Runtime() {
 std::uint64_t Runtime::run_ctx(EpochContext& ctx, std::function<void()> root) {
   Engine& e = *engine_;
   CAB_CHECK(tls_worker == nullptr, "run() must not be called from a task");
-  const bool root_inter =
-      e.kind == SchedulerKind::kCab && !ctx.cab_degenerate(e.kind);
+  const bool root_inter = ctx.bi_tier(e.kind);
   {
     std::lock_guard<std::mutex> lk(ctx.exception_mu);
     ctx.first_exception = nullptr;
@@ -281,7 +280,7 @@ Pending begin_spawn(bool force_inter) {
   // under one job's partition and intra under another's.
   const EpochContext& ctx = *w->ctx;
   const bool inter =
-      e.kind == SchedulerKind::kCab && !ctx.cab_degenerate(e.kind) &&
+      ctx.bi_tier(e.kind) &&
       (force_inter || ctx.tier.spawns_inter_child(parent->level));
   TaskFrame* t = w->pool.acquire(w->stats);
   t->prepare(parent, parent->level + 1, inter);

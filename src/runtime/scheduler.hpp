@@ -284,6 +284,14 @@ struct Worker {
   TaskFrame* steal_inter_from_other_squads();
   TaskFrame* take_inter_from_own_squad();
 
+  /// The implicit-sync wait of a task with unjoined children: helps
+  /// (own-deque pops first, then one Algorithm I probe per miss) until
+  /// they have all joined, and traces the wait as a kSyncWait span.
+  void help_until_joined(TaskFrame* t);
+
+  /// Releases `t`'s squad binding, if any (protocol::unbind_inter), and
+  /// traces the squad's new busy count.
+  void unbind_inter(TaskFrame* t);
   void finish(TaskFrame* t);
 };
 
@@ -352,11 +360,11 @@ struct EpochContext {
     if (!first_exception) first_exception = std::move(e);
   }
 
-  /// True when CAB must degrade to classic random stealing for this
-  /// epoch (BL == 0, Algorithm II step 2 / Section V-D — including every
-  /// single-squad partition).
-  bool cab_degenerate(SchedulerKind kind) const {
-    return kind == SchedulerKind::kCab && tier.bl == 0;
+  /// True when this epoch runs CAB's two tiers. BL == 0 degrades CAB to
+  /// classic random stealing (Algorithm II step 2 / Section V-D —
+  /// including every single-squad partition).
+  bool bi_tier(SchedulerKind kind) const {
+    return kind == SchedulerKind::kCab && tier.bl != 0;
   }
 };
 

@@ -2,19 +2,25 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 
+#include "util/assert.hpp"
 #include "util/cache_line.hpp"
 #include "util/layout.hpp"
 #include "util/sync_policy.hpp"
 
 namespace cab::runtime::protocol {
 
-/// The synchronization core of the paper's bi-tier protocol (Algorithm I /
-/// Algorithm II), extracted header-only and templated on the Sync policy
-/// (util/sync_policy.hpp) so the identical transitions run against real
-/// `std::atomic` inside the scheduler (worker.cpp) and against
-/// `chk::atomic` under the exhaustive-interleaving model checker
-/// (tests/test_model_check.cpp, DESIGN.md §6).
+/// The per-worker core of the paper's bi-tier protocol (Algorithm I /
+/// Algorithm II), header-only and the one place the policy is written:
+/// the threaded scheduler (worker.cpp) and the discrete-event simulator
+/// (simsched/sim_scheduler.cpp) both drive acquire_cab's step order,
+/// bind_inter/unbind_inter's busy-state hand-offs and the
+/// holds_busy_through_sync leaf rule. The synchronization parts are
+/// templated on the Sync policy (util/sync_policy.hpp), so the identical
+/// transitions also run against `chk::atomic` under the
+/// exhaustive-interleaving model checker (tests/test_model_check.cpp,
+/// DESIGN.md §6).
 ///
 /// Checked invariants (the model's oracles):
 ///  - the busy count never goes negative (releases match acquires);
@@ -85,11 +91,39 @@ constexpr AcquirePaths plan_acquire(bool is_head, bool squad_busy,
   return {false, is_head};
 }
 
-/// Algorithm II at a sync point: a *leaf* inter-socket task (one that
-/// spawned intra-socket children — its subtree is the squad's shared-cache
-/// residency unit) holds busy_state through its sync; a non-leaf inter
-/// task releases it so the squad is not barred from inter-socket work for
-/// the task's entire subtree lifetime.
+/// Algorithm I for a free worker: one acquire attempt, statically
+/// dispatched over a pools adapter. `Pools` provides five calls, each
+/// returning a task handle that is contextually false on a miss:
+///  - pop_own()           — Step 1: the worker's own intra-socket pool;
+///  - squad_busy()        — Step 2's gate read, made only after Step 1
+///                          missed;
+///  - steal_in_squad()    — Steps 3/6(a): in-squad intra-socket steal;
+///  - take_own_inter()    — Step 4: the own squad's inter-socket pool
+///                          (bound with bind_inter on a hit);
+///  - steal_other_inter() — Steps 5/6(b): other squads' inter-socket
+///                          pools (bound with bind_inter on a hit).
+/// Steps 2–6 are gated by plan_acquire; `desperate` is the head's
+/// starvation escape (kStarvationEscapeFails).
+template <typename Pools>
+auto acquire_cab(Pools& pools, bool is_head, bool desperate) {
+  using Task = decltype(pools.pop_own());
+  if (Task t = pools.pop_own()) return t;
+  const AcquirePaths paths =
+      plan_acquire(is_head, pools.squad_busy(), desperate);
+  if (paths.steal_intra_in_squad) {
+    Task t = pools.steal_in_squad();
+    if (t || !paths.inter_pools) return t;
+  }
+  if (!paths.inter_pools) return Task{};
+  if (Task t = pools.take_own_inter()) return t;
+  return pools.steal_other_inter();
+}
+
+/// Algorithm II at a sync point — the one leaf rule: a *leaf* inter-socket
+/// task (one that spawned intra-socket children — its subtree is the
+/// squad's shared-cache residency unit) holds busy_state through its sync;
+/// a non-leaf inter task releases it so the squad is not barred from
+/// inter-socket work for the task's entire subtree lifetime.
 constexpr bool holds_busy_through_sync(bool has_intra_children) noexcept {
   return has_intra_children;
 }
@@ -298,6 +332,30 @@ std::int32_t bind_inter(BusyState<Sync>& busy, Task* t, SquadT* sq) {
   const std::int32_t now = busy.acquire();
   t->inter_acquired_by = sq;
   return now;
+}
+
+/// What unbind_inter released: the squad (nullptr when the task held
+/// none) and that squad's busy count after the release.
+template <typename SquadT>
+struct Unbound {
+  SquadT* squad = nullptr;
+  std::int32_t busy_count = 0;
+};
+
+/// The inverse of bind_inter, at completion or at a releasing sync:
+/// releases the busy count of the squad `t` is tagged with and clears the
+/// tag, so each bind is released exactly once. A task with no tag is left
+/// alone. Underflow means a release without a matching acquire — the
+/// runtime twin of ModelCheckNegative.DoubleBusyRelease's oracle.
+template <typename Task>
+auto unbind_inter(Task* t) {
+  using SquadT = std::remove_pointer_t<decltype(t->inter_acquired_by)>;
+  Unbound<SquadT> u{t->inter_acquired_by, 0};
+  if (u.squad == nullptr) return u;
+  t->inter_acquired_by = nullptr;
+  u.busy_count = u.squad->busy_state.release();
+  CAB_CHECK(u.busy_count >= 0, "squad busy-state underflow");
+  return u;
 }
 
 }  // namespace cab::runtime::protocol

@@ -94,32 +94,7 @@ void Worker::execute(TaskFrame* t) {
   // Implicit sync (Cilk semantics): a task completes only after all its
   // children have. Helping here is what drains the DAG below this task.
   release_busy_on_suspend(t);
-  if (!t->joined()) {
-    const std::uint64_t wait_start = tr ? obs::now_ns() : 0;
-    const std::uint64_t help0 = stats.help_iterations;
-    const std::uint64_t exec0 = stats.tasks_executed;
-    int fails = 0;
-    while (!t->joined()) {
-      ++stats.help_iterations;
-      // Own-deque fast path: the children this sync waits on are (absent
-      // a steal) right here, so skip the acquire dispatch and go straight
-      // to the pop. A miss falls through to the full Algorithm I probe.
-      if (TaskFrame* c = pop_local()) {
-        ++stats.intra_pop_hits;
-        fails = 0;
-        execute(c);
-      } else if (help_once(fails >= kStarvationEscapeFails)) {
-        fails = 0;
-      } else {
-        backoff(fails, stats);
-      }
-    }
-    if (tr) {
-      tl.record(obs::EventKind::kSyncWait, wait_start, obs::now_ns(),
-                static_cast<std::int32_t>(stats.help_iterations - help0),
-                static_cast<std::int32_t>(stats.tasks_executed - exec0));
-    }
-  }
+  if (!t->joined()) help_until_joined(t);
   if (tr) {
     // Recorded at completion: nested spans (tasks run while helping in
     // the sync above) precede this one in the buffer.
@@ -157,32 +132,7 @@ void Worker::execute_lazy(TaskFrame* t) {
   t->body.reset();
   // Implicit sync, same help loop as execute(): the frame stays live (and
   // its slot unreclaimed, state kOwned) until its children have joined.
-  if (!t->joined()) {
-    const std::uint64_t wait_start = tr ? obs::now_ns() : 0;
-    const std::uint64_t help0 = stats.help_iterations;
-    const std::uint64_t exec0 = stats.tasks_executed;
-    int fails = 0;
-    while (!t->joined()) {
-      ++stats.help_iterations;
-      // Own-deque fast path: the children this sync waits on are (absent
-      // a steal) right here, so skip the acquire dispatch and go straight
-      // to the pop. A miss falls through to the full Algorithm I probe.
-      if (TaskFrame* c = pop_local()) {
-        ++stats.intra_pop_hits;
-        fails = 0;
-        execute(c);
-      } else if (help_once(fails >= kStarvationEscapeFails)) {
-        fails = 0;
-      } else {
-        backoff(fails, stats);
-      }
-    }
-    if (tr) {
-      tl.record(obs::EventKind::kSyncWait, wait_start, obs::now_ns(),
-                static_cast<std::int32_t>(stats.help_iterations - help0),
-                static_cast<std::int32_t>(stats.tasks_executed - exec0));
-    }
-  }
+  if (!t->joined()) help_until_joined(t);
   if (tr) {
     tl.record(obs::EventKind::kTaskExec, exec_start, obs::now_ns(), t->level,
               0);
@@ -196,6 +146,34 @@ void Worker::execute_lazy(TaskFrame* t) {
   // parent is always non-null here.
   ++t->parent->completed_local;
   lf->claim.finish_owned();
+}
+
+void Worker::help_until_joined(TaskFrame* t) {
+  const bool tr = tl.enabled;
+  const std::uint64_t wait_start = tr ? obs::now_ns() : 0;
+  const std::uint64_t help0 = stats.help_iterations;
+  const std::uint64_t exec0 = stats.tasks_executed;
+  int fails = 0;
+  while (!t->joined()) {
+    ++stats.help_iterations;
+    // Own-deque fast path: the children this sync waits on are (absent a
+    // steal) right here, so skip the acquire dispatch and go straight to
+    // the pop. A miss falls through to the full Algorithm I probe.
+    if (TaskFrame* c = pop_local()) {
+      ++stats.intra_pop_hits;
+      fails = 0;
+      execute(c);
+    } else if (help_once(fails >= kStarvationEscapeFails)) {
+      fails = 0;
+    } else {
+      backoff(fails, stats);
+    }
+  }
+  if (tr) {
+    tl.record(obs::EventKind::kSyncWait, wait_start, obs::now_ns(),
+              static_cast<std::int32_t>(stats.help_iterations - help0),
+              static_cast<std::int32_t>(stats.tasks_executed - exec0));
+  }
 }
 
 TaskFrame* Worker::promote_lazy(TaskFrame* t) {
@@ -220,12 +198,9 @@ TaskFrame* Worker::promote_lazy(TaskFrame* t) {
 }
 
 void Worker::finish(TaskFrame* t) {
-  if (Squad* sq = t->inter_acquired_by) {
-    // The paper's "busy_state := false" when an inter-socket task returns.
-    const std::int32_t now = sq->busy_state.release();
-    CAB_CHECK(now >= 0, "squad busy-state underflow");
-    if (tl.enabled) tl.mark(obs::EventKind::kActiveInter, sq->id, now);
-  }
+  // The paper's "busy_state := false" when an inter-socket task returns
+  // (a no-op if the task already released at its sync).
+  unbind_inter(t);
   TaskFrame* parent = t->parent;
   Engine& e = *engine;
   recycle(t);
@@ -281,23 +256,24 @@ void Worker::release_busy_on_suspend(TaskFrame* t) {
   // A *non-leaf* inter-socket task that reaches its sync stops executing
   // on the squad: it must release busy_state or the squad would be barred
   // from inter-socket work for the task's entire (possibly run-long)
-  // subtree lifetime. Leaf inter-socket tasks (level == BL) keep the
-  // squad busy until their intra-socket subtree completes — that subtree
-  // is the shared-cache residency unit the paper protects.
-  Squad* sq = t->inter_acquired_by;
-  if (sq == nullptr) return;
-  if (protocol::holds_busy_through_sync(t->has_intra_children)) {
-    return;  // leaf inter-socket task: hold
+  // subtree lifetime. Leaf inter-socket tasks (those that spawned intra
+  // children) keep the squad busy until their intra-socket subtree
+  // completes — that subtree is the shared-cache residency unit the paper
+  // protects.
+  if (!protocol::holds_busy_through_sync(t->has_intra_children)) {
+    unbind_inter(t);
   }
-  t->inter_acquired_by = nullptr;
-  const std::int32_t now = sq->busy_state.release();
-  CAB_CHECK(now >= 0, "squad busy-state underflow at suspend");
-  if (tl.enabled) tl.mark(obs::EventKind::kActiveInter, sq->id, now);
+}
+
+void Worker::unbind_inter(TaskFrame* t) {
+  const auto u = protocol::unbind_inter(t);
+  if (u.squad != nullptr && tl.enabled) {
+    tl.mark(obs::EventKind::kActiveInter, u.squad->id, u.busy_count);
+  }
 }
 
 TaskFrame* Worker::acquire(bool desperate) {
-  if (engine->kind == SchedulerKind::kCab && !ctx->cab_degenerate(engine->kind))
-    return acquire_cab(desperate);
+  if (ctx->bi_tier(engine->kind)) return acquire_cab(desperate);
   if (engine->kind == SchedulerKind::kTaskSharing) return acquire_sharing();
   return acquire_random();
 }
@@ -308,21 +284,9 @@ void Worker::mark_occupied() {
 }
 
 TaskFrame* Worker::acquire_cab(bool desperate) {
-  // Step 1: own intra-socket pool (publication buffer first, then deque).
-  if (TaskFrame* t = pop_local()) {
-    ++stats.intra_pop_hits;
-    return t;
-  }
-  if (engine->mask_active) {
-    // Own deque drained: withdraw this worker's occupancy hint so
-    // weighted thieves stop picking it (usually a no-op load — the bit
-    // only flips on the nonempty->empty transition).
-    if (squad->occupancy.clear(squad_slot)) ++stats.mask_clears_own;
-  }
-  // Steps 2–6: the gate decision is protocol::plan_acquire (model-checked
-  // in tests/test_model_check.cpp). Squad busy => intra-socket stealing
-  // within the squad only; squad free => the head reaches the
-  // inter-socket pools while non-heads loop back to Step 1.
+  // Algorithm I's step order and gate are protocol::acquire_cab (shared
+  // with the simulator; the gate is model-checked in
+  // tests/test_model_check.cpp). This adapter supplies the pools.
   //
   // Starvation escape (`desperate`): a head that has failed
   // kStarvationEscapeFails times in a row falls through to the
@@ -331,27 +295,30 @@ TaskFrame* Worker::acquire_cab(bool desperate) {
   // inter-socket descendants (see kStarvationEscapeFails). Deviation from
   // the paper's policy is confined to runs that would otherwise livelock
   // or starve.
-  const protocol::AcquirePaths paths =
-      protocol::plan_acquire(is_head, squad->busy(), desperate);
-  if (paths.steal_intra_in_squad) {
-    // Step 3 + 6(a): random in-squad victim, single attempt per call.
-    TaskFrame* t = steal_intra_in_squad();
-    if (t != nullptr || !paths.inter_pools) return t;
-  }
-  if (!paths.inter_pools) return nullptr;
-  // Step 4: own squad's inter-socket pool (FIFO end: oldest task = the
-  // subtree closest to the root, which parent-first expansion wants
-  // distributed first).
-  if (TaskFrame* t = take_inter_from_own_squad()) {
-    ++stats.inter_acquires;
-    return t;
-  }
-  // Step 5 + 6(b): steal an inter-socket task from a random other squad.
-  if (TaskFrame* t = steal_inter_from_other_squads()) {
-    ++stats.inter_steals;
-    return t;
-  }
-  return nullptr;
+  struct Pools {
+    Worker& w;
+    // Step 1: own intra-socket pool (publication buffer first, then deque).
+    TaskFrame* pop_own() {
+      if (TaskFrame* t = w.pop_local()) {
+        ++w.stats.intra_pop_hits;
+        return t;
+      }
+      if (w.engine->mask_active) {
+        // Own deque drained: withdraw this worker's occupancy hint so
+        // weighted thieves stop picking it (usually a no-op load — the
+        // bit only flips on the nonempty->empty transition).
+        if (w.squad->occupancy.clear(w.squad_slot)) ++w.stats.mask_clears_own;
+      }
+      return nullptr;
+    }
+    bool squad_busy() const { return w.squad->busy(); }
+    TaskFrame* steal_in_squad() { return w.steal_intra_in_squad(); }
+    TaskFrame* take_own_inter() { return w.take_inter_from_own_squad(); }
+    TaskFrame* steal_other_inter() {
+      return w.steal_inter_from_other_squads();
+    }
+  } pools{*this};
+  return protocol::acquire_cab(pools, is_head, desperate);
 }
 
 TaskFrame* Worker::acquire_random() {
@@ -368,6 +335,7 @@ TaskFrame* Worker::acquire_sharing() {
 }
 
 TaskFrame* Worker::steal_intra_in_squad() {
+  // Random in-squad victim, single attempt per call.
   const int n = squad->worker_count;
   if (n <= 1) {
     ++stats.failed_steal_attempts;
@@ -495,9 +463,12 @@ TaskFrame* Worker::steal_intra_global() {
 TaskFrame* Worker::take_inter_from_own_squad() {
   const bool tr = tl.enabled;
   const std::uint64_t t0 = tr ? obs::now_ns() : 0;
+  // FIFO end: the oldest task is the subtree closest to the root, which
+  // parent-first expansion wants distributed first.
   TaskFrame* t = squad->inter_pool.steal_top();
   if (!t) t = ctx->inject.steal_top();  // root injection
   if (t) {
+    ++stats.inter_acquires;
     const std::int32_t now = protocol::bind_inter(squad->busy_state, t, squad);
     if (tr) tl.mark(obs::EventKind::kActiveInter, squad->id, now);
   }
@@ -521,6 +492,7 @@ TaskFrame* Worker::steal_inter_from_other_squads() {
     Squad* victim = ctx->squads[static_cast<std::size_t>((start + i) % m)];
     if (victim == squad) continue;
     if (TaskFrame* t = victim->inter_pool.steal_top()) {
+      ++stats.inter_steals;
       const std::int32_t now =
           protocol::bind_inter(squad->busy_state, t, squad);
       if (tr) {
@@ -571,8 +543,7 @@ void Engine::worker_main(Worker& w) {
     // non-degenerate CAB epoch ever routes a child to the inter tier, so
     // everything but the level comparison is decided here, once per wake,
     // instead of per spawn.
-    w.lazy_tier_check = lazy && kind == SchedulerKind::kCab &&
-                        !ctx->cab_degenerate(kind);
+    w.lazy_tier_check = lazy && ctx->bi_tier(kind);
     // Partition-local self index for the baselines' steal victim pick
     // (partition membership is fixed for the epoch, so once per wake).
     for (std::size_t i = 0; i < ctx->workers.size(); ++i) {

@@ -6,6 +6,8 @@
 
 namespace cab::simsched {
 
+namespace protocol = runtime::protocol;
+
 const char* to_string(SimPolicy p) {
   switch (p) {
     case SimPolicy::kCab: return "CAB";
@@ -35,13 +37,6 @@ bool Simulator::is_inter_node(dag::NodeId n) const {
   return tier_.is_inter(graph_->node(n).level);
 }
 
-bool Simulator::is_leaf_inter_node(dag::NodeId n) const {
-  if (opts_.policy != SimPolicy::kCab) return false;
-  if (opts_.flexible_tiers != nullptr)
-    return opts_.flexible_tiers->leaf_inter(n);
-  return tier_.is_leaf_inter(graph_->node(n).level);
-}
-
 bool Simulator::cab_tiers() const {
   return opts_.policy == SimPolicy::kCab &&
          (tier_.bl > 0 || opts_.flexible_tiers != nullptr);
@@ -66,7 +61,10 @@ SimResult Simulator::run(const dag::TaskGraph& graph,
     w.is_head = (i == opts_.topo.first_core_of(w.socket));
     w.rng = util::Xorshift64(util::splitmix64(seed_state));
   }
-  squads_.assign(static_cast<std::size_t>(opts_.topo.sockets()), SimSquad{});
+  // Built in place: a SimSquad holds a BusyState (an atomic), which is
+  // neither copyable nor movable.
+  squads_ =
+      std::vector<SimSquad>(static_cast<std::size_t>(opts_.topo.sockets()));
   for (int s = 0; s < opts_.topo.sockets(); ++s) {
     SimSquad& sq = squads_[static_cast<std::size_t>(s)];
     sq.id = s;
@@ -79,7 +77,6 @@ SimResult Simulator::run(const dag::TaskGraph& graph,
   finish_time_ = 0;
   total_busy_ = 0;
   inter_tier_busy_ = 0;
-  pieces_done_ = 0;
   root_complete_ = false;
 
   if (opts_.cold_caches) caches_->invalidate_all();
@@ -133,24 +130,28 @@ void Simulator::handle_try_acquire(SimWorker& w, SimTime now) {
 
 void Simulator::handle_piece_done(SimWorker& w, dag::NodeId n, Piece piece,
                                   SimTime now) {
-  ++pieces_done_;
   const dag::TaskGraph::Node& node = graph_->node(n);
   NodeState& s = states_[static_cast<std::size_t>(n)];
 
   if (piece == Piece::kPre) {
-    // The body has run to its sync. A *non-leaf* inter-socket task is now
-    // suspended and no longer executing on the squad, so it releases the
-    // busy-state (Algorithm II(c) semantics; see DESIGN.md). Leaf
-    // inter-socket tasks keep it until their whole intra-socket subtree
-    // completes — that subtree is the shared-cache residency unit CAB
-    // protects.
-    if (s.busy_squad >= 0 && !is_leaf_inter_node(n)) {
-      SimSquad& sq = squads_[static_cast<std::size_t>(s.busy_squad)];
-      CAB_CHECK(sq.active_inter >= 1, "squad busy-state underflow (sim)");
-      --sq.active_inter;
-      s.busy_squad = -1;
-      wake_heads(now, sq.id);
-    }
+    // The body has run to its sync, after spawning every child (or, for a
+    // sequential node, its first phase). Algorithm II's leaf rule, as in
+    // the runtime's Worker::release_busy_on_suspend: an inter-socket task
+    // that spawned no intra-socket child is suspended and no longer
+    // executing on the squad, so it releases the busy-state; one that did
+    // holds it until its intra-socket subtree completes. The flag comes
+    // from the spawns themselves and must be known before the children
+    // are pushed, because the release check comes first.
+    const std::size_t spawns =
+        node.sequential ? std::min<std::size_t>(node.children.size(), 1)
+                        : node.children.size();
+    const auto spawned = node.children.begin() +
+                         static_cast<std::ptrdiff_t>(spawns);
+    const bool has_intra_children =
+        std::any_of(node.children.begin(), spawned,
+                    [&](dag::NodeId c) { return !is_inter_node(c); });
+    if (!protocol::holds_busy_through_sync(has_intra_children))
+      unbind_inter(s, now);
     const bool has_post = node.post_work > 0 || node.post_trace >= 0;
     if (node.children.empty()) {
       if (has_post) {
@@ -161,15 +162,11 @@ void Simulator::handle_piece_done(SimWorker& w, dag::NodeId n, Piece piece,
       }
     } else {
       s.remaining_children = static_cast<std::int32_t>(node.children.size());
-      if (node.sequential) {
-        s.next_child = 1;
-        push_child(node.children[0], w.id, now);
-      } else {
-        for (dag::NodeId c : node.children) push_child(c, w.id, now);
-      }
+      s.next_child = static_cast<std::int32_t>(spawns);
+      for (auto c = node.children.begin(); c != spawned; ++c)
+        push_child(*c, w.id, now);
     }
   } else {
-    s.post_done = true;
     node_subtree_complete(n, w.id, now);
   }
 
@@ -199,15 +196,8 @@ void Simulator::handle_piece_done(SimWorker& w, dag::NodeId n, Piece piece,
 
 void Simulator::node_subtree_complete(dag::NodeId n, std::int32_t worker,
                                       SimTime now) {
-  NodeState& s = states_[static_cast<std::size_t>(n)];
-  if (s.busy_squad >= 0) {
-    SimSquad& sq = squads_[static_cast<std::size_t>(s.busy_squad)];
-    CAB_CHECK(sq.active_inter >= 1, "squad busy-state underflow (sim)");
-    --sq.active_inter;
-    s.busy_squad = -1;
-    // The squad's head may now initiate inter-socket work again.
-    wake_heads(now, sq.id);
-  }
+  // The task returns: release its squad, if it still holds one.
+  unbind_inter(states_[static_cast<std::size_t>(n)], now);
 
   const dag::TaskGraph::Node& node = graph_->node(n);
   if (node.parent == dag::kNoNode) {
@@ -276,98 +266,98 @@ Simulator::Acquired Simulator::acquire(SimWorker& w) {
   return acquire_random(w);
 }
 
-Simulator::Acquired Simulator::acquire_cab(SimWorker& w) {
+Simulator::Acquired Simulator::pop_own(SimWorker& w) {
   // Continuations (a task resuming past its sync) bind to this worker.
   if (!w.continuations.empty()) {
     Acquired a{w.continuations.front(), Piece::kPost, opts_.cost.pop_cycles};
     w.continuations.pop_front();
     return a;
   }
-  // Step 1: own intra-socket pool (LIFO).
   if (!w.intra.empty()) {
     Acquired a{w.intra.back(), Piece::kPre, opts_.cost.pop_cycles};
     w.intra.pop_back();
     return a;
   }
-  SimSquad& sq = squads_[static_cast<std::size_t>(w.socket)];
-  auto take_own_inter = [&]() -> Acquired {
-    if (sq.inter_pool.empty()) return {};
-    Acquired a{sq.inter_pool.front(), Piece::kPre, opts_.cost.pop_cycles};
-    sq.inter_pool.pop_front();
-    ++sq.active_inter;
-    states_[static_cast<std::size_t>(a.node)].busy_squad = sq.id;
-    return a;
-  };
+  return {};
+}
 
-  const bool busy = sq.active_inter > 0;
-  if (busy || opts_.ignore_busy_state) {
-    // Step 3 / 6(a): steal intra-socket within the squad (rotation over
-    // squad mates; failed probes cost no virtual time).
-    if (sq.worker_count > 1) {
-      int start = probe_start(w, sq.worker_count);
+Simulator::Acquired Simulator::take_inter(std::deque<dag::NodeId>& pool,
+                                          SimSquad& sq, double overhead) {
+  if (pool.empty()) return {};
+  Acquired a{pool.front(), Piece::kPre, overhead};
+  pool.pop_front();
+  protocol::bind_inter(sq.busy_state,
+                       &states_[static_cast<std::size_t>(a.node)], &sq);
+  return a;
+}
+
+void Simulator::unbind_inter(NodeState& s, SimTime now) {
+  // The squad's head may initiate inter-socket work again.
+  if (const auto u = protocol::unbind_inter(&s); u.squad != nullptr)
+    wake_heads(now, u.squad->id);
+}
+
+Simulator::Acquired Simulator::acquire_cab(SimWorker& w) {
+  // Algorithm I is protocol::acquire_cab, shared with the runtime; this
+  // adapter supplies the virtual pools. Victims are probed in a rotation
+  // (failed probes cost no virtual time). The two ablations feed the
+  // shared gate: ignore_busy_state reads every squad as busy and opens the
+  // inter pools as the starvation escape does, any_worker_inter_steal
+  // makes every worker a head.
+  struct Pools {
+    Simulator& sim;
+    SimWorker& w;
+    SimSquad& sq;
+    Acquired pop_own() { return sim.pop_own(w); }
+    bool squad_busy() const {
+      return sq.busy_state.busy() || sim.opts_.ignore_busy_state;
+    }
+    Acquired steal_in_squad() {
+      if (sq.worker_count <= 1) return {};
+      const int start = sim.probe_start(w, sq.worker_count);
       for (int i = 0; i < sq.worker_count; ++i) {
-        int v = sq.first_worker + (start + i) % sq.worker_count;
+        const int v = sq.first_worker + (start + i) % sq.worker_count;
         if (v == w.id) continue;
-        SimWorker& victim = workers_[static_cast<std::size_t>(v)];
+        SimWorker& victim = sim.workers_[static_cast<std::size_t>(v)];
         if (!victim.intra.empty()) {
           Acquired a{victim.intra.front(), Piece::kPre,
-                     opts_.cost.intra_steal_cycles};
+                     sim.opts_.cost.intra_steal_cycles};
           victim.intra.pop_front();
           ++w.report.intra_steals;
           return a;
         }
       }
+      return {};
     }
-    // Step 2: a busy squad initiates no new inter-socket work (unless the
-    // busy_state ablation disables the guard).
-    if (busy && !opts_.ignore_busy_state) return {};
-  }
-
-  // Step 2 (cont.): non-head workers go back to Step 1 (unless the
-  // head-worker ablation opens inter-socket stealing to everyone).
-  if (!w.is_head && !opts_.any_worker_inter_steal) return {};
-
-  // Step 4: own inter-socket pool.
-  {
-    Acquired a = take_own_inter();
-    if (a.node != dag::kNoNode) {
-      ++w.report.inter_acquires;
+    Acquired take_own_inter() {
+      Acquired a = sim.take_inter(sq.inter_pool, sq, sim.opts_.cost.pop_cycles);
+      if (a) ++w.report.inter_acquires;
       return a;
     }
-  }
-  // Step 5 / 6(b): steal from another squad's inter pool.
-  const int m = static_cast<int>(squads_.size());
-  if (m > 1) {
-    int start = probe_start(w, m);
-    for (int i = 0; i < m; ++i) {
-      int v = (start + i) % m;
-      if (v == sq.id) continue;
-      SimSquad& victim = squads_[static_cast<std::size_t>(v)];
-      if (!victim.inter_pool.empty()) {
-        Acquired a{victim.inter_pool.front(), Piece::kPre,
-                   opts_.cost.inter_steal_cycles};
-        victim.inter_pool.pop_front();
-        ++sq.active_inter;
-        states_[static_cast<std::size_t>(a.node)].busy_squad = sq.id;
-        ++w.report.inter_steals;
-        return a;
+    Acquired steal_other_inter() {
+      const int m = static_cast<int>(sim.squads_.size());
+      if (m <= 1) return {};
+      const int start = sim.probe_start(w, m);
+      for (int i = 0; i < m; ++i) {
+        SimSquad& victim =
+            sim.squads_[static_cast<std::size_t>((start + i) % m)];
+        if (&victim == &sq) continue;
+        if (Acquired a = sim.take_inter(victim.inter_pool, sq,
+                                        sim.opts_.cost.inter_steal_cycles)) {
+          ++w.report.inter_steals;
+          return a;
+        }
       }
+      return {};
     }
-  }
-  return {};
+  } pools{*this, w, squads_[static_cast<std::size_t>(w.socket)]};
+  return protocol::acquire_cab(pools,
+                               w.is_head || opts_.any_worker_inter_steal,
+                               opts_.ignore_busy_state);
 }
 
 Simulator::Acquired Simulator::acquire_random(SimWorker& w) {
-  if (!w.continuations.empty()) {
-    Acquired a{w.continuations.front(), Piece::kPost, opts_.cost.pop_cycles};
-    w.continuations.pop_front();
-    return a;
-  }
-  if (!w.intra.empty()) {
-    Acquired a{w.intra.back(), Piece::kPre, opts_.cost.pop_cycles};
-    w.intra.pop_back();
-    return a;
-  }
+  if (Acquired a = pop_own(w)) return a;
   const int n = static_cast<int>(workers_.size());
   if (n > 1) {
     int start = probe_start(w, n);

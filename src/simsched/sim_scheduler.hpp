@@ -12,6 +12,7 @@
 #include "dag/partition.hpp"
 #include "dag/task_graph.hpp"
 #include "hw/topology.hpp"
+#include "runtime/squad_protocol.hpp"
 #include "simsched/cost_model.hpp"
 #include "simsched/event_sim.hpp"
 #include "simsched/report.hpp"
@@ -84,7 +85,16 @@ struct SimOptions {
 /// Deterministic discrete-event executor of a TaskGraph on a virtual MSMC
 /// machine.
 ///
-/// Execution model (mirrors the threaded runtime):
+/// Scheduling policy: the simulator drives the same Algorithm I/II core as
+/// the threaded runtime (runtime/squad_protocol.hpp) — protocol::
+/// acquire_cab's step order, bind_inter/unbind_inter on a per-squad
+/// protocol::BusyState, and the holds_busy_through_sync leaf rule — over
+/// its own virtual pools. What stays simulator-specific: continuations
+/// (post pieces) are served before Algorithm I, victims are probed in a
+/// round-robin or uniform rotation (VictimSelection), and the two protocol
+/// ablations are inputs to the shared gate, not a second gate.
+///
+/// Execution model:
 ///  - every node runs as a `pre` piece (body up to its sync: divide work +
 ///    memory trace + one push per child), then suspends; when its last
 ///    child subtree completes, its `post` piece (merge work + trace) runs
@@ -110,12 +120,14 @@ class Simulator {
   const SimOptions& options() const { return opts_; }
 
  private:
+  struct SimSquad;
+
   struct NodeState {
     std::int32_t remaining_children = 0;
     std::int32_t next_child = 0;  ///< for sequential release
     std::int32_t ran_pre_on = -1;
-    std::int32_t busy_squad = -1;  ///< squad charged with active_inter
-    bool post_done = false;
+    /// Squad whose busy count this task holds (protocol::bind_inter).
+    SimSquad* inter_acquired_by = nullptr;
   };
 
   struct SimWorker {
@@ -135,7 +147,7 @@ class Simulator {
     int first_worker = 0;
     int worker_count = 0;
     std::deque<dag::NodeId> inter_pool;  ///< FIFO acquisition
-    std::int32_t active_inter = 0;
+    runtime::protocol::BusyState<> busy_state;
   };
 
   enum class Piece : std::uint8_t { kPre, kPost };
@@ -157,16 +169,24 @@ class Simulator {
     dag::NodeId node = dag::kNoNode;
     Piece piece = Piece::kPre;
     double overhead = 0;  ///< pop/steal cost added to the piece start
+
+    explicit operator bool() const { return node != dag::kNoNode; }
   };
   Acquired acquire(SimWorker& w);
   Acquired acquire_cab(SimWorker& w);
   Acquired acquire_random(SimWorker& w);
+  /// The worker's own work: its continuations first, then its deque
+  /// (LIFO end).
+  Acquired pop_own(SimWorker& w);
+  /// Pops `pool`'s FIFO end and binds the task to `sq` (bind_inter).
+  Acquired take_inter(std::deque<dag::NodeId>& pool, SimSquad& sq,
+                      double overhead);
+  /// Releases the squad `s` is bound to, if any, and wakes the heads.
+  void unbind_inter(NodeState& s, SimTime now);
 
   void start_piece(SimWorker& w, const Acquired& a, SimTime now);
   void push_child(dag::NodeId child, std::int32_t spawner, SimTime now);
   void node_subtree_complete(dag::NodeId n, std::int32_t worker, SimTime now);
-  void release_next_phase(dag::NodeId parent, std::int32_t worker,
-                          SimTime now);
 
   /// First victim index to probe in a rotation over `count` candidates.
   int probe_start(SimWorker& w, int count);
@@ -182,7 +202,6 @@ class Simulator {
   void wake_all(SimTime now, int home_socket);
 
   bool is_inter_node(dag::NodeId n) const;
-  bool is_leaf_inter_node(dag::NodeId n) const;
   /// True when the CAB bi-tier machinery is active (BL > 0 or flexible).
   bool cab_tiers() const;
 
@@ -208,7 +227,6 @@ class Simulator {
   SimTime finish_time_ = 0;
   SimTime total_busy_ = 0;
   SimTime inter_tier_busy_ = 0;
-  std::uint64_t pieces_done_ = 0;
   bool root_complete_ = false;
 };
 

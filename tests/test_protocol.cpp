@@ -11,6 +11,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "dag/bounds.hpp"
@@ -18,6 +19,7 @@
 #include "runtime/graph_runner.hpp"
 #include "obs/timeline.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/squad_protocol.hpp"
 
 namespace cab::runtime {
 namespace {
@@ -280,6 +282,99 @@ TEST(Protocol, StatsConsistentWithLog) {
   EXPECT_EQ(s.total.tasks_executed, executed_tasks(rt).size());
   EXPECT_EQ(s.total.spawns_inter + s.total.spawns_intra,
             s.total.tasks_executed - 1);  // all but the root were spawned
+}
+
+// ---------------------------------------------------------------------------
+// protocol::acquire_cab step order, driven over a fake pools adapter that
+// records each call. The expectations are spelled out per case rather than
+// derived from plan_acquire, so a change to either the gate or the step
+// order shows up here.
+
+/// Pools adapter whose five calls append a tag to `log`; each pool hits
+/// (returns its own name) when its flag is set.
+struct RecordingPools {
+  bool own = false, in_squad = false, own_inter = false, other_inter = false;
+  bool busy = false;
+  std::string log;
+
+  const char* hit(const char* tag, bool has) {
+    log += log.empty() ? "" : ",";
+    log += tag;
+    return has ? tag : nullptr;
+  }
+  const char* pop_own() { return hit("own", own); }
+  bool squad_busy() {
+    hit("gate", false);
+    return busy;
+  }
+  const char* steal_in_squad() { return hit("squad", in_squad); }
+  const char* take_own_inter() { return hit("own_inter", own_inter); }
+  const char* steal_other_inter() { return hit("other_inter", other_inter); }
+};
+
+struct OrderCase {
+  bool is_head, busy, desperate;
+  const char* calls;  ///< every pool missing
+};
+
+TEST(AcquireOrder, FullGateTableWhenEveryPoolMisses) {
+  const OrderCase cases[] = {
+      {false, false, false, "own,gate"},
+      {false, false, true, "own,gate"},
+      {true, false, false, "own,gate,own_inter,other_inter"},
+      {true, false, true, "own,gate,own_inter,other_inter"},
+      {false, true, false, "own,gate,squad"},
+      {false, true, true, "own,gate,squad"},
+      {true, true, false, "own,gate,squad"},
+      {true, true, true, "own,gate,squad,own_inter,other_inter"},
+  };
+  for (const OrderCase& c : cases) {
+    RecordingPools p;
+    p.busy = c.busy;
+    EXPECT_EQ(protocol::acquire_cab(p, c.is_head, c.desperate), nullptr);
+    EXPECT_EQ(p.log, c.calls) << "is_head=" << c.is_head
+                              << " busy=" << c.busy
+                              << " desperate=" << c.desperate;
+  }
+}
+
+TEST(AcquireOrder, OwnPoolHitNeverReadsTheGate) {
+  for (int bits = 0; bits < 8; ++bits) {
+    RecordingPools p;
+    p.own = p.in_squad = p.own_inter = p.other_inter = true;
+    p.busy = (bits & 4) != 0;
+    EXPECT_STREQ(protocol::acquire_cab(p, (bits & 1) != 0, (bits & 2) != 0),
+                 "own");
+    EXPECT_EQ(p.log, "own");
+  }
+}
+
+TEST(AcquireOrder, InSquadStealHitNeverTouchesInterPools) {
+  for (const bool desperate : {false, true}) {
+    RecordingPools p;
+    p.busy = p.in_squad = p.own_inter = p.other_inter = true;
+    EXPECT_STREQ(protocol::acquire_cab(p, true, desperate), "squad");
+    EXPECT_EQ(p.log, "own,gate,squad");
+  }
+}
+
+TEST(AcquireOrder, NonHeadWithFreeSquadReturnsAfterStepOne) {
+  RecordingPools p;
+  p.in_squad = p.own_inter = p.other_inter = true;
+  EXPECT_EQ(protocol::acquire_cab(p, false, true), nullptr);
+  EXPECT_EQ(p.log, "own,gate");
+}
+
+TEST(AcquireOrder, HeadTakesOwnInterPoolBeforeOtherSquads) {
+  RecordingPools p;
+  p.own_inter = p.other_inter = true;
+  EXPECT_STREQ(protocol::acquire_cab(p, true, false), "own_inter");
+  EXPECT_EQ(p.log, "own,gate,own_inter");
+
+  RecordingPools q;
+  q.other_inter = true;
+  EXPECT_STREQ(protocol::acquire_cab(q, true, false), "other_inter");
+  EXPECT_EQ(q.log, "own,gate,own_inter,other_inter");
 }
 
 }  // namespace

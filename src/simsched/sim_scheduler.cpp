@@ -313,21 +313,7 @@ Simulator::Acquired Simulator::acquire_cab(SimWorker& w) {
       return sq.busy_state.busy() || sim.opts_.ignore_busy_state;
     }
     Acquired steal_in_squad() {
-      if (sq.worker_count <= 1) return {};
-      const int start = sim.probe_start(w, sq.worker_count);
-      for (int i = 0; i < sq.worker_count; ++i) {
-        const int v = sq.first_worker + (start + i) % sq.worker_count;
-        if (v == w.id) continue;
-        SimWorker& victim = sim.workers_[static_cast<std::size_t>(v)];
-        if (!victim.intra.empty()) {
-          Acquired a{victim.intra.front(), Piece::kPre,
-                     sim.opts_.cost.intra_steal_cycles};
-          victim.intra.pop_front();
-          ++w.report.intra_steals;
-          return a;
-        }
-      }
-      return {};
+      return sim.steal_intra(w, sq.first_worker, sq.worker_count);
     }
     Acquired take_own_inter() {
       Acquired a = sim.take_inter(sq.inter_pool, sq, sim.opts_.cost.pop_cycles);
@@ -358,24 +344,24 @@ Simulator::Acquired Simulator::acquire_cab(SimWorker& w) {
 
 Simulator::Acquired Simulator::acquire_random(SimWorker& w) {
   if (Acquired a = pop_own(w)) return a;
-  const int n = static_cast<int>(workers_.size());
-  if (n > 1) {
-    int start = probe_start(w, n);
-    for (int i = 0; i < n; ++i) {
-      int v = (start + i) % n;
-      if (v == w.id) continue;
-      SimWorker& victim = workers_[static_cast<std::size_t>(v)];
-      if (!victim.intra.empty()) {
-        // Cross-socket steals pay the remote-cache transfer cost.
-        double overhead = victim.socket == w.socket
-                              ? opts_.cost.intra_steal_cycles
-                              : opts_.cost.inter_steal_cycles;
-        Acquired a{victim.intra.front(), Piece::kPre, overhead};
-        victim.intra.pop_front();
-        ++w.report.intra_steals;
-        return a;
-      }
-    }
+  return steal_intra(w, 0, static_cast<int>(workers_.size()));
+}
+
+Simulator::Acquired Simulator::steal_intra(SimWorker& w, int first,
+                                           int count) {
+  if (count <= 1) return {};
+  const int start = probe_start(w, count);
+  for (int i = 0; i < count; ++i) {
+    SimWorker& victim =
+        workers_[static_cast<std::size_t>(first + (start + i) % count)];
+    if (victim.id == w.id || victim.intra.empty()) continue;
+    // Cross-socket steals pay the remote-cache transfer cost.
+    Acquired a{victim.intra.front(), Piece::kPre,
+               victim.socket == w.socket ? opts_.cost.intra_steal_cycles
+                                         : opts_.cost.inter_steal_cycles};
+    victim.intra.pop_front();
+    ++w.report.intra_steals;
+    return a;
   }
   return {};
 }
@@ -393,27 +379,19 @@ int Simulator::probe_start(SimWorker& w, int count) {
 Simulator::PieceCost Simulator::piece_duration(SimWorker& w, dag::NodeId n,
                                                Piece piece) {
   const dag::TaskGraph::Node& node = graph_->node(n);
+  const bool pre = piece == Piece::kPre;
   PieceCost cost;
-  if (piece == Piece::kPre) {
-    cost.cycles +=
-        static_cast<double>(node.pre_work) * opts_.cost.cycles_per_work;
+  cost.cycles += static_cast<double>(pre ? node.pre_work : node.post_work) *
+                 opts_.cost.cycles_per_work;
+  if (pre) {
     cost.cycles +=
         static_cast<double>(node.children.size()) * opts_.cost.spawn_cycles;
-    if (store_->has(node.pre_trace)) {
-      cachesim::StreamCost sc =
-          caches_->stream(w.id, store_->get(node.pre_trace));
-      cost.cycles += opts_.cost.stream_cost(sc);
-      cost.memory_fills += sc.memory_fills;
-    }
-  } else {
-    cost.cycles +=
-        static_cast<double>(node.post_work) * opts_.cost.cycles_per_work;
-    if (store_->has(node.post_trace)) {
-      cachesim::StreamCost sc =
-          caches_->stream(w.id, store_->get(node.post_trace));
-      cost.cycles += opts_.cost.stream_cost(sc);
-      cost.memory_fills += sc.memory_fills;
-    }
+  }
+  const auto trace = pre ? node.pre_trace : node.post_trace;
+  if (store_->has(trace)) {
+    cachesim::StreamCost sc = caches_->stream(w.id, store_->get(trace));
+    cost.cycles += opts_.cost.stream_cost(sc);
+    cost.memory_fills += sc.memory_fills;
   }
   return cost;
 }

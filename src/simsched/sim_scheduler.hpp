@@ -175,6 +175,9 @@ class Simulator {
   Acquired acquire(SimWorker& w);
   Acquired acquire_cab(SimWorker& w);
   Acquired acquire_random(SimWorker& w);
+  /// Steals the FIFO end of the first non-empty deque among workers
+  /// [first, first + count), probed in a rotation that skips `w`.
+  Acquired steal_intra(SimWorker& w, int first, int count);
   /// The worker's own work: its continuations first, then its deque
   /// (LIFO end).
   Acquired pop_own(SimWorker& w);

@@ -498,6 +498,18 @@ apps::DagBundle golden_pollution() {
   return b;
 }
 
+/// An irregular tree with merge (post) work on every non-root node, so
+/// the inter tier holds childless tasks with post work: they keep their
+/// squad busy through the post piece, as a runtime task does through its
+/// whole body.
+apps::DagBundle golden_irregular() {
+  apps::DagBundle b;
+  b.name = "irregular";
+  b.branching = 4;
+  b.graph = dag::make_irregular(7, 4, 5, 120, 4000);
+  return b;
+}
+
 std::vector<apps::DagBundle> golden_models() {
   std::vector<apps::DagBundle> m;
   apps::HeatParams hp;
@@ -521,6 +533,7 @@ std::vector<apps::DagBundle> golden_models() {
   gp.leaf_rows = 16;
   m.push_back(apps::build_ge_dag(gp));
   m.push_back(golden_pollution());
+  m.push_back(golden_irregular());
   return m;
 }
 
@@ -664,6 +677,46 @@ const GoldenCase kGolden[] = {
     {"heat/opteron/cab-uniform", "0x1.a9e4ap+19 l2=48768 l3=37248 coh=128 workers=6e11fe680e30bca1 pieces=5098073dde4c3f24"},
     {"heat/opteron/flexible", "0x1.75201p+20 l2=39264 l3=24608 coh=1152 workers=1249a016e397e507 pieces=f92181c223689c6e"},
     {"heat/opteron/random-jitter", "0x1.aea2b0c99a37bp+19 l2=49792 l3=42720 coh=1600 workers=2240ca7792efffa9 pieces=dac64eeaa8b0bb4c"},
+    {"irregular/2x2/any-worker", "0x1.1663p+16 l2=0 l3=0 coh=0 workers=bc55d3424c04181f pieces=d88444c6a32c4838"},
+    {"irregular/2x2/bl1", "0x1.5966p+16 l2=0 l3=0 coh=0 workers=da49641174548b93 pieces=a15c43e58eca3a4f"},
+    {"irregular/2x2/bl1-ignore-busy", "0x1.5966p+16 l2=0 l3=0 coh=0 workers=da49641174548b93 pieces=a15c43e58eca3a4f"},
+    {"irregular/2x2/bl1-no-guards", "0x1.5966p+16 l2=0 l3=0 coh=0 workers=da49641174548b93 pieces=a15c43e58eca3a4f"},
+    {"irregular/2x2/bl2", "0x1.1663p+16 l2=0 l3=0 coh=0 workers=bc55d3424c04181f pieces=d88444c6a32c4838"},
+    {"irregular/2x2/bl2-ignore-busy", "0x1.1663p+16 l2=0 l3=0 coh=0 workers=bc55d3424c04181f pieces=d88444c6a32c4838"},
+    {"irregular/2x2/bl2-no-guards", "0x1.1663p+16 l2=0 l3=0 coh=0 workers=bc55d3424c04181f pieces=d88444c6a32c4838"},
+    {"irregular/2x2/bl3", "0x1.0ddfp+16 l2=0 l3=0 coh=0 workers=9d956832dc4ae548 pieces=7532f0fcb099049c"},
+    {"irregular/2x2/bl3-ignore-busy", "0x1.030ap+16 l2=0 l3=0 coh=0 workers=9d956832dc4ae548 pieces=0a710faf08271f4b"},
+    {"irregular/2x2/bl3-no-guards", "0x1.eb34p+15 l2=0 l3=0 coh=0 workers=21b654909a7e4c26 pieces=dc118312921a0701"},
+    {"irregular/2x2/bl4", "0x1.2d1ep+16 l2=0 l3=0 coh=0 workers=dd1e67024accd857 pieces=4a00b76bfeba0e43"},
+    {"irregular/2x2/bl4-ignore-busy", "0x1.10c5p+16 l2=0 l3=0 coh=0 workers=5fde787792b3e0b3 pieces=811cbbb03eb6908e"},
+    {"irregular/2x2/bl4-no-guards", "0x1.cf2ep+15 l2=0 l3=0 coh=0 workers=3857842d76e1b800 pieces=ad45384965144c49"},
+    {"irregular/2x2/bl5", "0x1.6547p+16 l2=0 l3=0 coh=0 workers=bb8afb0c018e8408 pieces=692c99bf8ea28d2a"},
+    {"irregular/2x2/bl5-ignore-busy", "0x1.6547p+16 l2=0 l3=0 coh=0 workers=bb8afb0c018e8408 pieces=692c99bf8ea28d2a"},
+    {"irregular/2x2/bl5-no-guards", "0x1.6547p+16 l2=0 l3=0 coh=0 workers=bb8afb0c018e8408 pieces=692c99bf8ea28d2a"},
+    {"irregular/2x2/cab-rr", "0x1.1663p+16 l2=0 l3=0 coh=0 workers=bc55d3424c04181f pieces=d88444c6a32c4838"},
+    {"irregular/2x2/cab-uniform", "0x1.1f9bp+16 l2=0 l3=0 coh=0 workers=d2cad44351347879 pieces=a2ae5520d932ba75"},
+    {"irregular/2x2/flexible", "0x1.1663p+16 l2=0 l3=0 coh=0 workers=bc55d3424c04181f pieces=d88444c6a32c4838"},
+    {"irregular/2x2/random-jitter", "0x1.9571f727039ffp+15 l2=0 l3=0 coh=0 workers=1c425adc175c106a pieces=656696bad1d6b2ca"},
+    {"irregular/opteron/any-worker", "0x1.3ea2p+15 l2=0 l3=0 coh=0 workers=8e0f3760fae3b2ec pieces=9b289760d0bbcf8d"},
+    {"irregular/opteron/bl1", "0x1.91b2p+15 l2=0 l3=0 coh=0 workers=197f80ee73ab71a6 pieces=25de4d6b9f37ba70"},
+    {"irregular/opteron/bl1-ignore-busy", "0x1.91b2p+15 l2=0 l3=0 coh=0 workers=197f80ee73ab71a6 pieces=25de4d6b9f37ba70"},
+    {"irregular/opteron/bl1-no-guards", "0x1.91b2p+15 l2=0 l3=0 coh=0 workers=197f80ee73ab71a6 pieces=25de4d6b9f37ba70"},
+    {"irregular/opteron/bl2", "0x1.3ea2p+15 l2=0 l3=0 coh=0 workers=8e0f3760fae3b2ec pieces=9b289760d0bbcf8d"},
+    {"irregular/opteron/bl2-ignore-busy", "0x1.3ea2p+15 l2=0 l3=0 coh=0 workers=8e0f3760fae3b2ec pieces=9b289760d0bbcf8d"},
+    {"irregular/opteron/bl2-no-guards", "0x1.3ea2p+15 l2=0 l3=0 coh=0 workers=8e0f3760fae3b2ec pieces=9b289760d0bbcf8d"},
+    {"irregular/opteron/bl3", "0x1.1c04p+15 l2=0 l3=0 coh=0 workers=2cc8db0ab17804a6 pieces=6a66d1ffa677dec3"},
+    {"irregular/opteron/bl3-ignore-busy", "0x1.1c04p+15 l2=0 l3=0 coh=0 workers=2cc8db0ab17804a6 pieces=6a66d1ffa677dec3"},
+    {"irregular/opteron/bl3-no-guards", "0x1.1a76p+15 l2=0 l3=0 coh=0 workers=f4e672905b823a60 pieces=d6408a11cca9f5ec"},
+    {"irregular/opteron/bl4", "0x1.5262p+15 l2=0 l3=0 coh=0 workers=ad821fa6746d03b9 pieces=b2da186d4a983119"},
+    {"irregular/opteron/bl4-ignore-busy", "0x1.2bd8p+15 l2=0 l3=0 coh=0 workers=7a63a15f624de5c7 pieces=5d3ec42f39c40fab"},
+    {"irregular/opteron/bl4-no-guards", "0x1.248ap+15 l2=0 l3=0 coh=0 workers=1019c5e15f966fa3 pieces=692a8644d4ea5a4c"},
+    {"irregular/opteron/bl5", "0x1.a8f8p+15 l2=0 l3=0 coh=0 workers=5256321f9ac108a0 pieces=a6cce9ce1a33b1ab"},
+    {"irregular/opteron/bl5-ignore-busy", "0x1.a8f8p+15 l2=0 l3=0 coh=0 workers=5256321f9ac108a0 pieces=a6cce9ce1a33b1ab"},
+    {"irregular/opteron/bl5-no-guards", "0x1.a8f8p+15 l2=0 l3=0 coh=0 workers=5256321f9ac108a0 pieces=a6cce9ce1a33b1ab"},
+    {"irregular/opteron/cab-rr", "0x1.3ea2p+15 l2=0 l3=0 coh=0 workers=8e0f3760fae3b2ec pieces=9b289760d0bbcf8d"},
+    {"irregular/opteron/cab-uniform", "0x1.6c7p+15 l2=0 l3=0 coh=0 workers=4f682fbaeaacce8d pieces=0f4e49f898afd29e"},
+    {"irregular/opteron/flexible", "0x1.3ea2p+15 l2=0 l3=0 coh=0 workers=3ce1fd87acde02ad pieces=8a0e80489de8fb94"},
+    {"irregular/opteron/random-jitter", "0x1.a64baf1de28a2p+14 l2=0 l3=0 coh=0 workers=a7d1e695db30676a pieces=be4081eeee7f0351"},
     {"mergesort/2x2/any-worker", "0x1.5fecd6p+23 l2=118784 l3=71680 coh=0 workers=03fe1a97d0e58c84 pieces=31c08fe145979fc9"},
     {"mergesort/2x2/bl1", "0x1.cc55aap+23 l2=118784 l3=75264 coh=0 workers=fe69eae57ade80d9 pieces=51ef34ba2007302e"},
     {"mergesort/2x2/bl1-ignore-busy", "0x1.cc55aap+23 l2=118784 l3=75264 coh=0 workers=fe69eae57ade80d9 pieces=51ef34ba2007302e"},

@@ -270,19 +270,26 @@ struct Worker {
     return intra.pop_bottom();
   }
 
+  // The pools protocol::acquire_cab probes (Algorithm I); each returns
+  // nullptr on a miss. pop_own is Step 1 (own deque; a miss withdraws the
+  // occupancy hint), steal_in_squad Steps 3/6a (one random in-squad
+  // victim), take_own_inter Step 4 and steal_other_inter Steps 5/6b.
+  TaskFrame* pop_own();
+  bool squad_busy() const { return squad->busy(); }
+  TaskFrame* steal_in_squad();
+  TaskFrame* take_own_inter();
+  TaskFrame* steal_other_inter();
+
  private:
   TaskFrame* acquire_cab(bool desperate);
   TaskFrame* acquire_random();
   TaskFrame* acquire_sharing();
-  TaskFrame* steal_intra_in_squad();
   /// One steal attempt against `victim`'s intra deque: a steal-half batch
   /// under kWeightedHalf (surplus re-pushed onto this worker's deque),
   /// a single steal_top otherwise. `taken` reports the batch size (0 on
   /// miss); a miss hearsay-clears the victim's occupancy bit.
   TaskFrame* steal_intra_from(int victim, std::size_t& taken);
   TaskFrame* steal_intra_global();
-  TaskFrame* steal_inter_from_other_squads();
-  TaskFrame* take_inter_from_own_squad();
 
   /// The implicit-sync wait of a task with unjoined children: helps
   /// (own-deque pops first, then one Algorithm I probe per miss) until

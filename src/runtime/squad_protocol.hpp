@@ -2,7 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <type_traits>
+#include <utility>
 
 #include "util/assert.hpp"
 #include "util/cache_line.hpp"
@@ -12,14 +12,12 @@
 namespace cab::runtime::protocol {
 
 /// The per-worker core of the paper's bi-tier protocol (Algorithm I /
-/// Algorithm II), header-only and the one place the policy is written:
-/// the threaded scheduler (worker.cpp) and the discrete-event simulator
-/// (simsched/sim_scheduler.cpp) both drive acquire_cab's step order,
-/// bind_inter/unbind_inter's busy-state hand-offs and the
-/// holds_busy_through_sync leaf rule. The synchronization parts are
-/// templated on the Sync policy (util/sync_policy.hpp), so the identical
-/// transitions also run against `chk::atomic` under the
-/// exhaustive-interleaving model checker (tests/test_model_check.cpp,
+/// Algorithm II), header-only: the threaded scheduler (worker.cpp) and
+/// the simulator (simsched/sim_scheduler.cpp) both drive acquire_cab,
+/// bind_inter/unbind_inter and holds_busy_through_sync. The
+/// synchronization parts are templated on the Sync policy
+/// (util/sync_policy.hpp), so the identical transitions also run against
+/// `chk::atomic` under the model checker (tests/test_model_check.cpp,
 /// DESIGN.md §6).
 ///
 /// Checked invariants (the model's oracles):
@@ -92,18 +90,12 @@ constexpr AcquirePaths plan_acquire(bool is_head, bool squad_busy,
 }
 
 /// Algorithm I for a free worker: one acquire attempt, statically
-/// dispatched over a pools adapter. `Pools` provides five calls, each
-/// returning a task handle that is contextually false on a miss:
-///  - pop_own()           — Step 1: the worker's own intra-socket pool;
-///  - squad_busy()        — Step 2's gate read, made only after Step 1
-///                          missed;
-///  - steal_in_squad()    — Steps 3/6(a): in-squad intra-socket steal;
-///  - take_own_inter()    — Step 4: the own squad's inter-socket pool
-///                          (bound with bind_inter on a hit);
-///  - steal_other_inter() — Steps 5/6(b): other squads' inter-socket
-///                          pools (bound with bind_inter on a hit).
-/// Steps 2–6 are gated by plan_acquire; `desperate` is the head's
-/// starvation escape (kStarvationEscapeFails).
+/// dispatched over a pools adapter whose calls each return a task handle
+/// that is false on a miss: pop_own() (Step 1), squad_busy() (Step 2's
+/// gate, read only after Step 1 missed), steal_in_squad() (Steps 3/6a),
+/// take_own_inter() (Step 4) and steal_other_inter() (Steps 5/6b); the
+/// last two bind the task with bind_inter. plan_acquire gates Steps 2–6;
+/// `desperate` is the head's starvation escape (kStarvationEscapeFails).
 template <typename Pools>
 auto acquire_cab(Pools& pools, bool is_head, bool desperate) {
   using Task = decltype(pools.pop_own());
@@ -334,28 +326,18 @@ std::int32_t bind_inter(BusyState<Sync>& busy, Task* t, SquadT* sq) {
   return now;
 }
 
-/// What unbind_inter released: the squad (nullptr when the task held
-/// none) and that squad's busy count after the release.
-template <typename SquadT>
-struct Unbound {
-  SquadT* squad = nullptr;
-  std::int32_t busy_count = 0;
-};
-
 /// The inverse of bind_inter, at completion or at a releasing sync:
 /// releases the busy count of the squad `t` is tagged with and clears the
-/// tag, so each bind is released exactly once. A task with no tag is left
-/// alone. Underflow means a release without a matching acquire — the
-/// runtime twin of ModelCheckNegative.DoubleBusyRelease's oracle.
+/// tag, so each bind is released exactly once. Returns that squad
+/// (nullptr, and nothing released, for an untagged task) and its new busy
+/// count. Underflow is a release without a matching acquire — the runtime
+/// twin of ModelCheckNegative.DoubleBusyRelease's oracle.
 template <typename Task>
 auto unbind_inter(Task* t) {
-  using SquadT = std::remove_pointer_t<decltype(t->inter_acquired_by)>;
-  Unbound<SquadT> u{t->inter_acquired_by, 0};
-  if (u.squad == nullptr) return u;
-  t->inter_acquired_by = nullptr;
-  u.busy_count = u.squad->busy_state.release();
-  CAB_CHECK(u.busy_count >= 0, "squad busy-state underflow");
-  return u;
+  auto* sq = std::exchange(t->inter_acquired_by, nullptr);
+  const std::int32_t now = sq != nullptr ? sq->busy_state.release() : 0;
+  CAB_CHECK(now >= 0, "squad busy-state underflow");
+  return std::pair{sq, now};
 }
 
 }  // namespace cab::runtime::protocol

@@ -266,9 +266,9 @@ void Worker::release_busy_on_suspend(TaskFrame* t) {
 }
 
 void Worker::unbind_inter(TaskFrame* t) {
-  const auto u = protocol::unbind_inter(t);
-  if (u.squad != nullptr && tl.enabled) {
-    tl.mark(obs::EventKind::kActiveInter, u.squad->id, u.busy_count);
+  const auto [sq, now] = protocol::unbind_inter(t);
+  if (sq != nullptr && tl.enabled) {
+    tl.mark(obs::EventKind::kActiveInter, sq->id, now);
   }
 }
 
@@ -286,7 +286,7 @@ void Worker::mark_occupied() {
 TaskFrame* Worker::acquire_cab(bool desperate) {
   // Algorithm I's step order and gate are protocol::acquire_cab (shared
   // with the simulator; the gate is model-checked in
-  // tests/test_model_check.cpp). This adapter supplies the pools.
+  // tests/test_model_check.cpp), over this worker's pools.
   //
   // Starvation escape (`desperate`): a head that has failed
   // kStarvationEscapeFails times in a row falls through to the
@@ -295,30 +295,22 @@ TaskFrame* Worker::acquire_cab(bool desperate) {
   // inter-socket descendants (see kStarvationEscapeFails). Deviation from
   // the paper's policy is confined to runs that would otherwise livelock
   // or starve.
-  struct Pools {
-    Worker& w;
-    // Step 1: own intra-socket pool (publication buffer first, then deque).
-    TaskFrame* pop_own() {
-      if (TaskFrame* t = w.pop_local()) {
-        ++w.stats.intra_pop_hits;
-        return t;
-      }
-      if (w.engine->mask_active) {
-        // Own deque drained: withdraw this worker's occupancy hint so
-        // weighted thieves stop picking it (usually a no-op load — the
-        // bit only flips on the nonempty->empty transition).
-        if (w.squad->occupancy.clear(w.squad_slot)) ++w.stats.mask_clears_own;
-      }
-      return nullptr;
-    }
-    bool squad_busy() const { return w.squad->busy(); }
-    TaskFrame* steal_in_squad() { return w.steal_intra_in_squad(); }
-    TaskFrame* take_own_inter() { return w.take_inter_from_own_squad(); }
-    TaskFrame* steal_other_inter() {
-      return w.steal_inter_from_other_squads();
-    }
-  } pools{*this};
-  return protocol::acquire_cab(pools, is_head, desperate);
+  return protocol::acquire_cab(*this, is_head, desperate);
+}
+
+TaskFrame* Worker::pop_own() {
+  // Own intra-socket pool (publication buffer first, then deque).
+  if (TaskFrame* t = pop_local()) {
+    ++stats.intra_pop_hits;
+    return t;
+  }
+  if (engine->mask_active) {
+    // Own deque drained: withdraw this worker's occupancy hint so
+    // weighted thieves stop picking it (usually a no-op load — the bit
+    // only flips on the nonempty->empty transition).
+    if (squad->occupancy.clear(squad_slot)) ++stats.mask_clears_own;
+  }
+  return nullptr;
 }
 
 TaskFrame* Worker::acquire_random() {
@@ -334,8 +326,7 @@ TaskFrame* Worker::acquire_sharing() {
   return ctx->inject.pop_bottom();
 }
 
-TaskFrame* Worker::steal_intra_in_squad() {
-  // Random in-squad victim, single attempt per call.
+TaskFrame* Worker::steal_in_squad() {
   const int n = squad->worker_count;
   if (n <= 1) {
     ++stats.failed_steal_attempts;
@@ -460,7 +451,7 @@ TaskFrame* Worker::steal_intra_global() {
   return t;
 }
 
-TaskFrame* Worker::take_inter_from_own_squad() {
+TaskFrame* Worker::take_own_inter() {
   const bool tr = tl.enabled;
   const std::uint64_t t0 = tr ? obs::now_ns() : 0;
   // FIFO end: the oldest task is the subtree closest to the root, which
@@ -479,7 +470,7 @@ TaskFrame* Worker::take_inter_from_own_squad() {
   return t;
 }
 
-TaskFrame* Worker::steal_inter_from_other_squads() {
+TaskFrame* Worker::steal_other_inter() {
   // Confined to the epoch's partition: a squad only ever raids pools of
   // squads running the *same* job, so tasks never cross partitions.
   const int m = static_cast<int>(ctx->squads.size());

@@ -61,8 +61,7 @@ SimResult Simulator::run(const dag::TaskGraph& graph,
     w.is_head = (i == opts_.topo.first_core_of(w.socket));
     w.rng = util::Xorshift64(util::splitmix64(seed_state));
   }
-  // Built in place: a SimSquad holds a BusyState (an atomic), which is
-  // neither copyable nor movable.
+  // Built in place: a SimSquad's BusyState is a (non-movable) atomic.
   squads_ =
       std::vector<SimSquad>(static_cast<std::size_t>(opts_.topo.sockets()));
   for (int s = 0; s < opts_.topo.sockets(); ++s) {
@@ -136,21 +135,22 @@ void Simulator::handle_piece_done(SimWorker& w, dag::NodeId n, Piece piece,
   if (piece == Piece::kPre) {
     // The body has run to its sync, after spawning every child (or, for a
     // sequential node, its first phase). Algorithm II's leaf rule, as in
-    // the runtime's Worker::release_busy_on_suspend: an inter-socket task
-    // that spawned no intra-socket child is suspended and no longer
-    // executing on the squad, so it releases the busy-state; one that did
-    // holds it until its intra-socket subtree completes. The flag comes
-    // from the spawns themselves and must be known before the children
-    // are pushed, because the release check comes first.
+    // the runtime's Worker::release_busy_on_suspend: a suspended
+    // inter-socket task that spawned no intra-socket child releases the
+    // busy-state; one that did holds it until its intra-socket subtree
+    // completes. The check comes before the children are pushed, so the
+    // flag is read off the spawns themselves. A childless task does not
+    // suspend: its body runs on into the post piece and releases on
+    // return, as a runtime task releases only after its whole body.
     const std::size_t spawns =
         node.sequential ? std::min<std::size_t>(node.children.size(), 1)
                         : node.children.size();
     const auto spawned = node.children.begin() +
                          static_cast<std::ptrdiff_t>(spawns);
-    const bool has_intra_children =
-        std::any_of(node.children.begin(), spawned,
-                    [&](dag::NodeId c) { return !is_inter_node(c); });
-    if (!protocol::holds_busy_through_sync(has_intra_children))
+    if (s.inter_acquired_by != nullptr && spawns > 0 &&
+        !protocol::holds_busy_through_sync(std::any_of(
+            node.children.begin(), spawned,
+            [&](dag::NodeId c) { return !is_inter_node(c); })))
       unbind_inter(s, now);
     const bool has_post = node.post_work > 0 || node.post_trace >= 0;
     if (node.children.empty()) {
@@ -281,20 +281,9 @@ Simulator::Acquired Simulator::pop_own(SimWorker& w) {
   return {};
 }
 
-Simulator::Acquired Simulator::take_inter(std::deque<dag::NodeId>& pool,
-                                          SimSquad& sq, double overhead) {
-  if (pool.empty()) return {};
-  Acquired a{pool.front(), Piece::kPre, overhead};
-  pool.pop_front();
-  protocol::bind_inter(sq.busy_state,
-                       &states_[static_cast<std::size_t>(a.node)], &sq);
-  return a;
-}
-
 void Simulator::unbind_inter(NodeState& s, SimTime now) {
   // The squad's head may initiate inter-socket work again.
-  if (const auto u = protocol::unbind_inter(&s); u.squad != nullptr)
-    wake_heads(now, u.squad->id);
+  if (SimSquad* sq = protocol::unbind_inter(&s).first) wake_heads(now, sq->id);
 }
 
 Simulator::Acquired Simulator::acquire_cab(SimWorker& w) {
@@ -315,8 +304,17 @@ Simulator::Acquired Simulator::acquire_cab(SimWorker& w) {
     Acquired steal_in_squad() {
       return sim.steal_intra(w, sq.first_worker, sq.worker_count);
     }
+    /// Pops `from`'s FIFO end and binds the task to this worker's squad.
+    Acquired take(SimSquad& from, double overhead) {
+      if (from.inter_pool.empty()) return {};
+      Acquired a{from.inter_pool.front(), Piece::kPre, overhead};
+      from.inter_pool.pop_front();
+      protocol::bind_inter(sq.busy_state,
+                           &sim.states_[static_cast<std::size_t>(a.node)], &sq);
+      return a;
+    }
     Acquired take_own_inter() {
-      Acquired a = sim.take_inter(sq.inter_pool, sq, sim.opts_.cost.pop_cycles);
+      Acquired a = take(sq, sim.opts_.cost.pop_cycles);
       if (a) ++w.report.inter_acquires;
       return a;
     }
@@ -328,8 +326,7 @@ Simulator::Acquired Simulator::acquire_cab(SimWorker& w) {
         SimSquad& victim =
             sim.squads_[static_cast<std::size_t>((start + i) % m)];
         if (&victim == &sq) continue;
-        if (Acquired a = sim.take_inter(victim.inter_pool, sq,
-                                        sim.opts_.cost.inter_steal_cycles)) {
+        if (Acquired a = take(victim, sim.opts_.cost.inter_steal_cycles)) {
           ++w.report.inter_steals;
           return a;
         }

@@ -85,14 +85,12 @@ struct SimOptions {
 /// Deterministic discrete-event executor of a TaskGraph on a virtual MSMC
 /// machine.
 ///
-/// Scheduling policy: the simulator drives the same Algorithm I/II core as
-/// the threaded runtime (runtime/squad_protocol.hpp) — protocol::
-/// acquire_cab's step order, bind_inter/unbind_inter on a per-squad
-/// protocol::BusyState, and the holds_busy_through_sync leaf rule — over
-/// its own virtual pools. What stays simulator-specific: continuations
-/// (post pieces) are served before Algorithm I, victims are probed in a
-/// round-robin or uniform rotation (VictimSelection), and the two protocol
-/// ablations are inputs to the shared gate, not a second gate.
+/// Scheduling policy: the runtime's Algorithm I/II core
+/// (runtime/squad_protocol.hpp: acquire_cab, bind_inter/unbind_inter on a
+/// per-squad BusyState, the holds_busy_through_sync leaf rule) driven over
+/// virtual pools. Simulator-specific: continuations (post pieces) are
+/// served first, victims are probed in a VictimSelection rotation, and the
+/// protocol ablations are inputs to the shared gate.
 ///
 /// Execution model:
 ///  - every node runs as a `pre` piece (body up to its sync: divide work +
@@ -181,9 +179,6 @@ class Simulator {
   /// The worker's own work: its continuations first, then its deque
   /// (LIFO end).
   Acquired pop_own(SimWorker& w);
-  /// Pops `pool`'s FIFO end and binds the task to `sq` (bind_inter).
-  Acquired take_inter(std::deque<dag::NodeId>& pool, SimSquad& sq,
-                      double overhead);
   /// Releases the squad `s` is bound to, if any, and wakes the heads.
   void unbind_inter(NodeState& s, SimTime now);
 

@@ -223,6 +223,45 @@ TEST(Simulator, PostPiecesRunAfterChildren) {
   EXPECT_GT(r.makespan, (starts[{root, true}]));
 }
 
+TEST(Simulator, ChildlessInterTaskHoldsSquadThroughPostPiece) {
+  // A childless inter-socket task has no sync to suspend at, so its squad
+  // stays busy through its post piece, as a runtime task holds it through
+  // its whole body. On one squad whose workers may all take inter tasks,
+  // the busy gate then keeps every other level-1 task from starting
+  // inside a childless level-1 task's post piece. The leaf's long intra
+  // child keeps the non-head awake, so under random arbitration either
+  // worker may win the childless tasks.
+  dag::TaskGraph g;
+  dag::NodeId root = g.add_root(1);
+  dag::NodeId leaf = g.add_child(root, 1);
+  g.add_child(leaf, 5000);  // stolen by the non-head, finishes last
+  g.add_child(leaf, 100);
+  std::vector<dag::NodeId> childless;
+  for (int i = 0; i < 4; ++i) childless.push_back(g.add_child(root, 10, 3000));
+  cachesim::TraceStore store;
+  SimOptions o = base_options(SimPolicy::kCab, 1);
+  o.topo = hw::Topology::synthetic(1, 2, /*l3=*/64 * 1024, /*l2=*/64 * 64);
+  o.any_worker_inter_steal = true;
+  o.victims = VictimSelection::kUniformRandom;
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    o.seed = seed;
+    std::map<std::pair<dag::NodeId, bool>, SimTime> starts;
+    o.on_piece_start = [&](dag::NodeId n, int, SimTime t, bool post) {
+      starts[{n, post}] = t;
+    };
+    Simulator(o).run(g, store);
+    for (dag::NodeId a : childless) {
+      const SimTime post_end = starts.at({a, true}) + 3000;
+      for (dag::NodeId b : childless) {
+        const SimTime t = starts.at({b, false});
+        EXPECT_FALSE(b != a && t > starts.at({a, false}) && t < post_end)
+            << "seed " << seed << ": task " << b << " started inside task "
+            << a << "'s post piece";
+      }
+    }
+  }
+}
+
 TEST(Simulator, InterTierFractionSmallForDivideAndConquer) {
   // Paper Section III-E: inter-socket tier is typically < 5% of the work.
   dag::TaskGraph g = dag::make_recursive_dnc(2, 8, 50000, 10);
